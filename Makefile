@@ -15,9 +15,10 @@ test:
 ## store, fenced queues, HTTP gateway + remote worker — and the archival
 ## store/scrubber), plus the core detection stack — including crash/resume,
 ## orchestrator failover, and the sharded/unsharded equivalence suite —
-## that drives them end to end.
+## that drives them end to end, the curation ledger that concurrent runs
+## share, and the web layer whose admissions wake the scheduler.
 race:
-	$(GO) test -race ./internal/workflow/... ./internal/taxonomy/... ./internal/resilience/... ./internal/provenance/... ./internal/storage/... ./internal/shard/... ./internal/cluster/... ./internal/archive/... ./internal/core/...
+	$(GO) test -race ./internal/workflow/... ./internal/taxonomy/... ./internal/resilience/... ./internal/provenance/... ./internal/storage/... ./internal/shard/... ./internal/cluster/... ./internal/archive/... ./internal/core/... ./internal/curation/... ./internal/web/...
 
 ## ci: the full hygiene gate — formatting, vet, the race-enabled tests, a
 ## short fuzz smoke over the archival WAV decoder (arbitrary bytes must

@@ -128,24 +128,19 @@ func (s *Store) List() []Lease {
 // bump is a storage-fence CAS.
 func (s *Store) Acquire(resource, holder string, ttl time.Duration) (Lease, error) {
 	now := s.now()
+	// Read the token before the row. Every advance writes its row in the
+	// same batch, so an expired row read here means no acquirer had won yet
+	// when seen was read — and the CAS to seen+1 below fails if one has since.
+	seen := s.db.FenceToken(fenceName(resource))
 	prev, exists := s.Get(resource)
 	if exists && prev.Live(now) {
 		return Lease{}, fmt.Errorf("%w: %q held by %q until %s",
 			ErrLeaseHeld, resource, prev.Holder, prev.Expires.Format(time.RFC3339Nano))
 	}
-	token := s.db.FenceToken(fenceName(resource)) + 1
-	if err := s.db.AdvanceFence(fenceName(resource), token); err != nil {
+	l := Lease{Resource: resource, Holder: holder, Token: seen + 1, Expires: now.Add(ttl)}
+	if err := s.db.AdvanceFence(fenceName(resource), l.Token, leaseOp(l, exists)); err != nil {
 		if errors.Is(err, storage.ErrStaleFence) {
 			return Lease{}, fmt.Errorf("%w: %q lost the steal race", ErrLeaseHeld, resource)
-		}
-		return Lease{}, err
-	}
-	l := Lease{Resource: resource, Holder: holder, Token: token, Expires: now.Add(ttl)}
-	if err := s.putFenced(l, exists); err != nil {
-		if errors.Is(err, storage.ErrStaleFence) {
-			// An even newer stealer advanced past us between the CAS and the
-			// row write; it owns the lease now.
-			return Lease{}, fmt.Errorf("%w: %q re-stolen at token %d", ErrLeaseHeld, resource, token)
 		}
 		return Lease{}, err
 	}
@@ -204,13 +199,17 @@ func (s *Store) Expire(resource string) error {
 // putFenced writes the lease row under its own token, so a row write racing
 // a newer steal loses at the storage layer.
 func (s *Store) putFenced(l Lease, update bool) error {
+	return s.db.ApplyFenced(fenceName(l.Resource), l.Token, leaseOp(l, update))
+}
+
+// leaseOp is the insert (or update) of l's lease row.
+func leaseOp(l Lease, update bool) storage.Op {
 	row := storage.Row{
 		storage.S(l.Resource), storage.S(l.Holder),
 		storage.I(l.Token), storage.I(l.Expires.UnixNano()),
 	}
-	op := storage.InsertOp(leaseTable, row)
 	if update {
-		op = storage.UpdateOp(leaseTable, row)
+		return storage.UpdateOp(leaseTable, row)
 	}
-	return s.db.ApplyFenced(fenceName(l.Resource), l.Token, op)
+	return storage.InsertOp(leaseTable, row)
 }

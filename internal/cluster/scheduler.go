@@ -5,6 +5,7 @@ import (
 	"errors"
 	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"sync"
 	"time"
 
@@ -70,6 +71,10 @@ type SchedulerEvent struct {
 // (anti-herd): when K peers watch the same lapsed run, the winner is decided
 // by the fence CAS and the losers spread their retries instead of stampeding
 // every TTL.
+//
+// Admissions made in this process reach the member at once through Wake;
+// each admitted run executes on its own goroutine, at most GOMAXPROCS at a
+// time per member. Rescue stays serial, on the poll tick.
 type Scheduler struct {
 	// Name identifies this orchestrator in leases and membership.
 	Name string
@@ -86,7 +91,9 @@ type Scheduler struct {
 	// sharing a seed still de-correlate.
 	Seed int64
 	// OnEvent, when set, observes scheduler actions (chaos harness, logs).
-	// Called synchronously from the control loop.
+	// Called synchronously from the goroutine that took the action — the
+	// control loop or one of the concurrent admission executions — so it must
+	// be safe for concurrent use.
 	OnEvent func(SchedulerEvent)
 
 	mu       sync.Mutex
@@ -95,11 +102,18 @@ type Scheduler struct {
 	counters map[string]int64
 	running  bool
 	dead     bool
+	// inflight holds the run IDs executing in this member; slots caps its
+	// size.
+	inflight map[string]bool
+	slots    int
 
 	ctx    context.Context
 	cancel context.CancelFunc
 	die    chan struct{}
-	wg     sync.WaitGroup
+	wake   chan struct{}
+	// wg covers both loops and every in-flight execution, so Stop and Kill
+	// return only once all of them have.
+	wg sync.WaitGroup
 }
 
 // backoffState tracks one resource's claim-retry schedule.
@@ -137,11 +151,14 @@ func (s *Scheduler) Start() error {
 	h.Write([]byte(s.Name))
 	s.rng = rand.New(rand.NewSource(s.Seed ^ int64(h.Sum64())))
 	s.backoff = map[string]*backoffState{}
+	s.inflight = map[string]bool{}
+	s.slots = runtime.GOMAXPROCS(0)
 	if s.counters == nil {
 		s.counters = map[string]int64{}
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.die = make(chan struct{})
+	s.wake = make(chan struct{}, 1)
 	s.running = true
 	s.mu.Unlock()
 
@@ -155,6 +172,22 @@ func (s *Scheduler) Start() error {
 	go s.heartbeatLoop()
 	go s.controlLoop()
 	return nil
+}
+
+// Wake asks the control loop to drain admissions now instead of at its next
+// tick. It never blocks, wakes arriving together collapse into one drain, and
+// it is a no-op before Start and after Stop or Kill. Call it after an
+// admission is durable; peers in other processes find it on their poll.
+func (s *Scheduler) Wake() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.running {
+		return
+	}
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
 }
 
 // Stop leaves the pool cleanly: loops wind down, in-flight work finishes,
@@ -288,11 +321,25 @@ func (s *Scheduler) clearBackoff(resource string) {
 	s.mu.Unlock()
 }
 
+// controlLoop runs one jittered tick at a time. Wakes during the wait drain
+// admissions only and never move the deadline, so the tick — drain plus
+// rescue — keeps its rate under any admission load.
 func (s *Scheduler) controlLoop() {
 	defer s.wg.Done()
 	for {
-		if !s.sleep(s.jittered(s.poll())) {
-			return
+		tick := time.NewTimer(s.jittered(s.poll()))
+	wait:
+		for {
+			select {
+			case <-s.die:
+				tick.Stop()
+				return
+			case <-s.wake:
+				s.count("wakes")
+				s.drainAdmissions()
+			case <-tick.C:
+				break wait
+			}
 		}
 		s.count("ticks")
 		s.drainAdmissions()
@@ -317,7 +364,14 @@ func shuffled[T any](rng *rand.Rand, mu *sync.Mutex, items []T) []T {
 	return out
 }
 
+// drainAdmissions starts every claimable admission on its own goroutine
+// until the member's slots are full; a freed slot wakes the loop for the
+// rest. A run already executing here is skipped rather than re-claimed, so
+// the member never races itself for a lease.
 func (s *Scheduler) drainAdmissions() {
+	// Snapshot before listing: a run that finishes between the two is still
+	// skipped, instead of being claimed again after its admission settled.
+	busy := s.inflightIDs()
 	pending, err := s.Backend.PendingAdmissions()
 	if err != nil {
 		s.count("errors")
@@ -331,17 +385,56 @@ func (s *Scheduler) drainAdmissions() {
 			return
 		default:
 		}
-		if s.backingOff(adm.RunID, now) {
+		if busy[adm.RunID] || s.backingOff(adm.RunID, now) {
 			continue
 		}
-		s.runOne(adm.RunID, "complete", func() error {
-			return s.Backend.ExecuteAdmission(s.ctx, adm, s.Name)
-		})
-		now = time.Now()
+		if !s.reserve(adm.RunID) {
+			return
+		}
+		s.wg.Add(1)
+		go func(adm workflow.Admission) {
+			defer s.wg.Done()
+			s.runOne(adm.RunID, "complete", func() error {
+				return s.Backend.ExecuteAdmission(s.ctx, adm, s.Name)
+			})
+			s.unreserve(adm.RunID)
+			s.Wake()
+		}(adm)
 	}
 }
 
+// inflightIDs copies the set of runs executing in this member.
+func (s *Scheduler) inflightIDs() map[string]bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[string]bool, len(s.inflight))
+	for id := range s.inflight {
+		out[id] = true
+	}
+	return out
+}
+
+// reserve takes an execution slot for runID; false when every slot is busy.
+func (s *Scheduler) reserve(runID string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.inflight) >= s.slots {
+		return false
+	}
+	s.inflight[runID] = true
+	return true
+}
+
+func (s *Scheduler) unreserve(runID string) {
+	s.mu.Lock()
+	delete(s.inflight, runID)
+	s.mu.Unlock()
+}
+
+// rescueLapsed resumes lapsed runs one at a time on the control loop. A run
+// still executing here is left to its goroutine.
 func (s *Scheduler) rescueLapsed() {
+	busy := s.inflightIDs()
 	candidates, err := s.Backend.RescueCandidates()
 	if err != nil {
 		s.count("errors")
@@ -355,7 +448,7 @@ func (s *Scheduler) rescueLapsed() {
 			return
 		default:
 		}
-		if s.backingOff(runID, now) {
+		if busy[runID] || s.backingOff(runID, now) {
 			continue
 		}
 		s.runOne(runID, "rescue", func() error {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -292,5 +293,222 @@ func TestSchedulerRescue(t *testing.T) {
 	// was the interrupted claim, the rescue stole at ≥2.
 	if l, ok := store.Get("run-000001"); !ok || l.Token < 2 {
 		t.Fatalf("rescued lease = %+v, want token ≥ 2", l)
+	}
+}
+
+// TestSchedulerWakeDrainsAtOnce: with a poll far in the future, an
+// admission followed by Wake completes without waiting for a tick. Wake is a
+// no-op before Start and after Stop.
+func TestSchedulerWakeDrainsAtOnce(t *testing.T) {
+	store, _ := leaseStore(t)
+	be := newFakeBackend(store, time.Second)
+	s := &Scheduler{Name: "orch-a", Leases: store, Backend: be, Poll: time.Hour, Seed: 1}
+	s.Wake() // before Start: nothing to wake, must not block or panic
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	be.admit("run-000001", false)
+	s.Wake()
+	waitFor(t, 2*time.Second, be.done, "woken admission to complete")
+	c := s.Counters()
+	if c["scheduler.ticks"] != 0 || c["scheduler.wakes"] < 1 || c["scheduler.completed"] != 1 {
+		t.Fatalf("counters = %v, want 0 ticks, ≥1 wake, 1 completed", c)
+	}
+	s.Stop()
+	s.Wake() // after Stop: a no-op
+}
+
+// TestSchedulerWakesKeepTickRate: wakes never push the tick deadline back,
+// so a lapsed lease is rescued within about 1.5×Poll however often the member
+// is woken.
+func TestSchedulerWakesKeepTickRate(t *testing.T) {
+	store, _ := leaseStore(t)
+	be := newFakeBackend(store, time.Second)
+	// A run whose owner died: lease lapsed, not on the admission queue, so
+	// only the tick's rescue pass can finish it.
+	if _, err := store.Acquire("run-lapsed", "orch-dead", 5*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	be.mu.Lock()
+	be.interrupted["run-lapsed"] = true
+	be.mu.Unlock()
+	time.Sleep(10 * time.Millisecond)
+
+	const poll = 200 * time.Millisecond
+	s := &Scheduler{Name: "orch-a", Leases: store, Backend: be, Poll: poll, Seed: 3}
+	stop := make(chan struct{})
+	var wakers sync.WaitGroup
+	wakers.Add(1)
+	go func() {
+		defer wakers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.Wake()
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}()
+	start := time.Now()
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// The first tick is due within 1.5×poll; the rest is scheduling slack.
+	// A loop that let wakes push the tick back would never rescue here.
+	waitFor(t, 3*poll/2+200*time.Millisecond, be.done, "lapsed run to be rescued under continuous wakes")
+	elapsed := time.Since(start)
+	close(stop)
+	wakers.Wait()
+	s.Stop()
+	if got := be.executions()["run-lapsed"]; len(got) != 1 || got[0] != "orch-a" {
+		t.Fatalf("run-lapsed executed by %v, want orch-a once", got)
+	}
+	c := s.Counters()
+	if c["scheduler.rescued"] != 1 || c["scheduler.wakes"] < 1 {
+		t.Fatalf("counters = %v after %v, want 1 rescue and some wakes", c, elapsed)
+	}
+}
+
+// blockingBackend executes admissions that stay in flight until released
+// and stay listed as pending until they finish, so a member that re-claimed
+// its own in-flight runs, or ran more than its slots, would show it.
+type blockingBackend struct {
+	release chan struct{}
+	once    sync.Once
+
+	mu       sync.Mutex
+	pending  map[string]bool
+	inflight int
+	peak     int
+	executed map[string]int
+}
+
+func newBlockingBackend(runs int) *blockingBackend {
+	b := &blockingBackend{release: make(chan struct{}), pending: map[string]bool{}, executed: map[string]int{}}
+	for i := 0; i < runs; i++ {
+		b.pending[fmt.Sprintf("run-%06d", i)] = true
+	}
+	return b
+}
+
+func (b *blockingBackend) PendingAdmissions() ([]workflow.Admission, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	out := make([]workflow.Admission, 0, len(b.pending))
+	for id := range b.pending {
+		out = append(out, workflow.Admission{RunID: id})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].RunID < out[j].RunID })
+	return out, nil
+}
+
+func (b *blockingBackend) ExecuteAdmission(_ context.Context, adm workflow.Admission, _ string) error {
+	b.mu.Lock()
+	b.inflight++
+	if b.inflight > b.peak {
+		b.peak = b.inflight
+	}
+	b.executed[adm.RunID]++
+	b.mu.Unlock()
+	<-b.release
+	b.mu.Lock()
+	b.inflight--
+	delete(b.pending, adm.RunID)
+	b.mu.Unlock()
+	return nil
+}
+
+// unblock lets every held and future execution finish.
+func (b *blockingBackend) unblock() { b.once.Do(func() { close(b.release) }) }
+
+func (b *blockingBackend) RescueCandidates() ([]string, error) { return nil, nil }
+
+func (b *blockingBackend) RescueRun(context.Context, string, string) error { return nil }
+
+func (b *blockingBackend) state() (inflight, peak, left int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.inflight, b.peak, len(b.pending)
+}
+
+// TestSchedulerDrainBoundedConcurrency: with more admissions than
+// GOMAXPROCS, at most GOMAXPROCS execute at once in one member, none is
+// claimed twice while in flight, and the rest start as slots free up — woken
+// by the freed slot, since the poll never ticks here.
+func TestSchedulerDrainBoundedConcurrency(t *testing.T) {
+	store, _ := leaseStore(t)
+	slots := runtime.GOMAXPROCS(0)
+	runs := 2*slots + 1
+	be := newBlockingBackend(runs)
+	s := &Scheduler{Name: "orch-a", Leases: store, Backend: be, Poll: time.Hour, Seed: 1}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	defer be.unblock() // runs before Stop, which waits for in-flight runs
+	s.Wake()
+	waitFor(t, 2*time.Second, func() bool { n, _, _ := be.state(); return n == slots }, "every slot to fill")
+	// Wake the loop many times over the blocked runs.
+	for i := 0; i < 20; i++ {
+		s.Wake()
+		time.Sleep(2 * time.Millisecond)
+	}
+	if n, peak, _ := be.state(); n != slots || peak != slots {
+		t.Fatalf("in flight %d, peak %d; want both %d", n, peak, slots)
+	}
+	be.unblock()
+	waitFor(t, 5*time.Second, func() bool { _, _, left := be.state(); return left == 0 }, "every admission to drain")
+	be.mu.Lock()
+	defer be.mu.Unlock()
+	if be.peak > slots {
+		t.Fatalf("peak in flight %d, want ≤ %d", be.peak, slots)
+	}
+	if len(be.executed) != runs {
+		t.Fatalf("executed %d runs, want %d", len(be.executed), runs)
+	}
+	for id, n := range be.executed {
+		if n != 1 {
+			t.Fatalf("run %s executed %d times, want once", id, n)
+		}
+	}
+}
+
+// TestSchedulerStopAndKillWaitForInflight: neither Stop nor Kill returns
+// while an admitted run is still executing.
+func TestSchedulerStopAndKillWaitForInflight(t *testing.T) {
+	for _, mode := range []string{"stop", "kill"} {
+		t.Run(mode, func(t *testing.T) {
+			store, _ := leaseStore(t)
+			be := newBlockingBackend(1)
+			s := &Scheduler{Name: "orch-a", Leases: store, Backend: be, Poll: time.Hour, Seed: 1}
+			if err := s.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer s.Stop()
+			defer be.unblock()
+			s.Wake()
+			waitFor(t, 2*time.Second, func() bool { n, _, _ := be.state(); return n == 1 }, "the run to start")
+			returned := make(chan struct{})
+			go func() {
+				if mode == "stop" {
+					s.Stop()
+				} else {
+					s.Kill()
+				}
+				close(returned)
+			}()
+			select {
+			case <-returned:
+				t.Fatalf("%s returned with a run in flight", mode)
+			case <-time.After(50 * time.Millisecond):
+			}
+			be.unblock()
+			<-returned
+			if n, _, left := be.state(); n != 0 || left != 0 {
+				t.Fatalf("after %s: %d in flight, %d pending; want the run finished", mode, n, left)
+			}
+		})
 	}
 }

@@ -262,13 +262,15 @@ func (b *schedulerBackend) settle(runID string, out *DetectionOutcome, err error
 	case errors.Is(err, cluster.ErrLeaseHeld) || errors.Is(err, cluster.ErrLeaseLost):
 		return err
 	default:
-		// Executed and failed terminally: the run row records the failure and
-		// cannot be re-run under the same ID, so the admission is settled.
+		// Executed and failed terminally — the run itself, or the ledger or
+		// assessment step after it: the run row is final and cannot be re-run
+		// under the same ID, so the admission is settled. The error still
+		// goes back, so the scheduler reports the run instead of counting it
+		// complete.
 		if info, ierr := b.sys.Provenance.Run(runID); ierr == nil && info.Status != provenance.RunRunning {
 			if b.sys.Admissions != nil {
 				_ = b.sys.Admissions.Remove(runID)
 			}
-			return nil
 		}
 		return err
 	}

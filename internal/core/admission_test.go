@@ -3,12 +3,15 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/curation"
 	"repro/internal/provenance"
+	"repro/internal/storage"
 )
 
 // TestAdmittedRunLifecycle drives the full async path end to end on one
@@ -213,5 +216,44 @@ func TestSweepSchedulerClaimRace(t *testing.T) {
 	}
 	if info, err := sys.Provenance.Run(adm.RunID); err != nil || info.Status != provenance.RunCompleted {
 		t.Fatalf("contested run = %+v, %v; want finished exactly once", info, err)
+	}
+}
+
+// TestSettleReportsPostRunFailure: when the run itself completes but its
+// ledger write fails afterwards, the admission is still settled (the run row
+// is final) yet the error goes back to the scheduler instead of a silent
+// success.
+func TestSettleReportsPostRunFailure(t *testing.T) {
+	sys, taxa, _ := testSystem(t, 300, 60)
+	ctx := context.Background()
+
+	adm, err := sys.AdmitDetection(RunOptions{Untraced: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Take the ID the run's first update would mint, so its ledger write
+	// hits a duplicate key.
+	taken := &curation.NameUpdate{
+		ID:       fmt.Sprintf("UPD-%06d", sys.Ledger.CountUpdates("")+1),
+		RecordID: "FNJV-00000", OriginalName: "A b", Status: "synonym", DetectedAt: time.Now(),
+	}
+	if err := sys.Ledger.AddUpdates([]*curation.NameUpdate{taken}); err != nil {
+		t.Fatal(err)
+	}
+
+	outcomes := 0
+	be := sys.SchedulerBackend(taxa.Checklist, RunOptions{LeaseTTL: time.Second}, func(*DetectionOutcome) { outcomes++ })
+	err = be.ExecuteAdmission(ctx, adm, "orch-1")
+	if !errors.Is(err, storage.ErrDuplicate) {
+		t.Fatalf("ExecuteAdmission = %v, want the ledger's duplicate-key error", err)
+	}
+	if info, ierr := sys.Provenance.Run(adm.RunID); ierr != nil || info.Status != provenance.RunCompleted {
+		t.Fatalf("run %s = %+v, %v; want a completed row", adm.RunID, info, ierr)
+	}
+	if n := sys.Admissions.Depth(); n != 0 {
+		t.Fatalf("queue depth = %d, want the admission settled", n)
+	}
+	if outcomes != 0 {
+		t.Fatalf("observer saw %d outcomes, want none for a failed finish", outcomes)
 	}
 }

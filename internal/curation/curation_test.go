@@ -3,8 +3,10 @@ package curation
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -607,5 +609,76 @@ func TestLedgerPersistence(t *testing.T) {
 	}
 	if u2.ID == u.ID {
 		t.Fatal("ID collision after reload")
+	}
+}
+
+// TestLedgerConcurrentMinting: runs finishing together mint update and
+// history IDs at the same time. Every row must land, each under its own ID.
+func TestLedgerConcurrentMinting(t *testing.T) {
+	db, err := storage.Open(t.TempDir(), storage.Options{Sync: storage.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	led, err := NewLedger(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, perWriter = 8, 25
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			updates := make([]*NameUpdate, perWriter)
+			for i := range updates {
+				updates[i] = &NameUpdate{
+					RecordID: fmt.Sprintf("FNJV-%02d-%03d", w, i), OriginalName: "A b",
+					Status: "synonym", DetectedAt: time.Now(),
+				}
+			}
+			if err := led.AddUpdates(updates); err != nil {
+				errs <- err
+				return
+			}
+			for i := 0; i < perWriter; i++ {
+				if err := led.LogChange(HistoryEntry{RecordID: fmt.Sprintf("FNJV-%02d-%03d", w, i), Field: "species"}); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("concurrent ledger write: %v", err)
+	}
+	if n := led.CountUpdates(""); n != writers*perWriter {
+		t.Fatalf("%d update rows, want %d", n, writers*perWriter)
+	}
+	if n := led.HistoryCount(); n != writers*perWriter {
+		t.Fatalf("%d history rows, want %d", n, writers*perWriter)
+	}
+	ids := map[string]bool{}
+	for w := 0; w < writers; w++ {
+		for i := 0; i < perWriter; i++ {
+			rec := fmt.Sprintf("FNJV-%02d-%03d", w, i)
+			ups, err := led.UpdatesForRecord(rec)
+			if err != nil || len(ups) != 1 {
+				t.Fatalf("updates of %s = %v, %v; want one", rec, ups, err)
+			}
+			his, err := led.History(rec)
+			if err != nil || len(his) != 1 {
+				t.Fatalf("history of %s = %v, %v; want one", rec, his, err)
+			}
+			for _, id := range []string{ups[0].ID, his[0].ID} {
+				if ids[id] {
+					t.Fatalf("ID %s minted twice", id)
+				}
+				ids[id] = true
+			}
+		}
 	}
 }

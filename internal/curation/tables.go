@@ -11,6 +11,7 @@ package curation
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/storage"
@@ -82,9 +83,13 @@ var (
 	)
 )
 
-// Ledger persists updates and history in the embedded database.
+// Ledger persists updates and history in the embedded database. It is safe
+// for concurrent use: IDs are minted and applied under one mutex, so runs
+// finishing together never mint the same ID.
 type Ledger struct {
-	db      *storage.DB
+	db *storage.DB
+
+	mu      sync.Mutex
 	nextUpd int
 	nextHis int
 }
@@ -143,6 +148,8 @@ func rowToUpdate(row storage.Row) *NameUpdate {
 
 // AddUpdates persists proposed updates (review state pending) in bulk.
 func (l *Ledger) AddUpdates(updates []*NameUpdate) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	const batch = 512
 	for start := 0; start < len(updates); start += batch {
 		end := start + batch
@@ -233,6 +240,8 @@ func (l *Ledger) Resolve(id, verdict, reviewer string, when time.Time) error {
 
 // LogChange appends one applied modification to the history log.
 func (l *Ledger) LogChange(e HistoryEntry) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if e.ID == "" {
 		l.nextHis++
 		e.ID = fmt.Sprintf("HIS-%06d", l.nextHis)

@@ -74,7 +74,10 @@ func (db *DB) ApplyFenced(name string, token int64, ops ...Op) error {
 // two stealers racing to the same token cannot both win. The write goes
 // through the normal op path (WAL + snapshot) and is fsynced immediately —
 // an acknowledged fence advance survives a crash even under SyncOnClose.
-func (db *DB) AdvanceFence(name string, token int64) error {
+// with, when given, is applied in the same batch: state written under the
+// new token (a lease row, say) can never be seen without the advance, nor
+// the advance without it.
+func (db *DB) AdvanceFence(name string, token int64, with ...Op) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
@@ -95,7 +98,7 @@ func (db *DB) AdvanceFence(name string, token int64) error {
 	} else {
 		ops = append(ops, InsertOp(fencesTable, row))
 	}
-	if err := db.applyLocked(ops); err != nil {
+	if err := db.applyLocked(append(ops, with...)); err != nil {
 		return err
 	}
 	return db.log.Sync()

@@ -86,6 +86,27 @@ func TestApplyFencedRejectsStaleToken(t *testing.T) {
 	}
 }
 
+// TestAdvanceFenceWithOps: ops handed to an advance land exactly when the
+// advance does — a stale advance writes none of them.
+func TestAdvanceFenceWithOps(t *testing.T) {
+	db := fenceDB(t)
+	fenceTestSchema(t, db, "leases")
+	if err := db.AdvanceFence("lease/r1", 1, InsertOp("leases", Row{S("r1"), S("holder-a")})); err != nil {
+		t.Fatalf("advance with insert: %v", err)
+	}
+	if !db.Table("leases").Has(S("r1")) || db.FenceToken("lease/r1") != 1 {
+		t.Fatal("advance did not write its row and token together")
+	}
+	err := db.AdvanceFence("lease/r1", 1, UpdateOp("leases", Row{S("r1"), S("holder-b")}))
+	if !errors.Is(err, ErrStaleFence) {
+		t.Fatalf("stale advance: err = %v, want ErrStaleFence", err)
+	}
+	row, err := db.Table("leases").Get(S("r1"))
+	if err != nil || row[1].Str() != "holder-a" {
+		t.Fatalf("row after stale advance = %v, %v; want holder-a untouched", row, err)
+	}
+}
+
 func TestFenceSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{Sync: SyncNever})

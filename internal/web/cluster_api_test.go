@@ -6,12 +6,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/provenance"
 )
 
 // clusterServer is testServer with membership rows and run-ownership leases
@@ -365,6 +367,71 @@ func TestAsyncDetect(t *testing.T) {
 	decodeJSON(t, resp, 200, &sync)
 	if sync.RunID == "" || sync.DistinctNames != 100 {
 		t.Fatalf("sync body: %+v", sync)
+	}
+}
+
+// TestAsyncDetectWakesScheduler: with a poll that never ticks during the
+// test, admitted runs still complete, because each admission wakes the
+// in-process scheduler. The runs overlap, so their ledger writes must not
+// collide either.
+func TestAsyncDetectWakesScheduler(t *testing.T) {
+	srv, wsys, taxa := testServer(t)
+	sys := wsys.Core
+	var mu sync.Mutex
+	updates := map[string]int{}
+	backend := sys.SchedulerBackend(taxa.Checklist, core.RunOptions{}, func(o *core.DetectionOutcome) {
+		mu.Lock()
+		updates[o.RunID] = o.UpdatesCreated
+		mu.Unlock()
+	})
+	sched := &cluster.Scheduler{Name: "orch-web", Leases: sys.Leases, Backend: backend, Poll: time.Hour}
+	if err := sched.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sched.Stop)
+	wsys.Scheduler = sched
+
+	const runs = 4
+	ids := make([]string, runs)
+	for i := range ids {
+		resp, err := http.Post(srv.URL+"/api/v1/detect", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var accepted struct {
+			RunID string `json:"run_id"`
+		}
+		decodeJSON(t, resp, http.StatusAccepted, &accepted)
+		ids[i] = accepted.RunID
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		mu.Lock()
+		done := len(updates)
+		mu.Unlock()
+		if done == runs {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d admitted runs finished within 30s; admission queue depth %d",
+				done, runs, sys.Admissions.Depth())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	total := 0
+	for _, id := range ids {
+		info, err := sys.Provenance.Run(id)
+		if err != nil || info.Status != provenance.RunCompleted {
+			t.Fatalf("run %s = %+v, %v; want completed", id, info, err)
+		}
+		total += updates[id]
+	}
+	if n := sys.Ledger.CountUpdates(""); n != total {
+		t.Fatalf("ledger holds %d updates, runs created %d", n, total)
+	}
+	c := sched.Counters()
+	if c["scheduler.ticks"] != 0 || c["scheduler.wakes"] < 1 || c["scheduler.completed"] != runs || c["scheduler.errors"] != 0 {
+		t.Fatalf("scheduler counters = %v, want %d completed by wakes alone", c, runs)
 	}
 }
 

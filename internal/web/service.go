@@ -134,9 +134,18 @@ func (v *Service) AsyncDetect() bool {
 }
 
 // Admit records the intent to run detection for the context's tenant and
-// returns the pre-minted run identity without executing anything.
+// returns the pre-minted run identity without executing anything. Once the
+// admission row is durable it wakes this process's scheduler, which claims
+// the run at once instead of at its next poll.
 func (v *Service) Admit(ctx context.Context) (workflow.Admission, error) {
-	return v.sys.Core.AdmitDetection(core.RunOptions{Tenant: TenantFrom(ctx)})
+	adm, err := v.sys.Core.AdmitDetection(core.RunOptions{Tenant: TenantFrom(ctx)})
+	if err != nil {
+		return adm, err
+	}
+	if v.sys.Scheduler != nil {
+		v.sys.Scheduler.Wake()
+	}
+	return adm, nil
 }
 
 // API reads run against immutable point-in-time snapshots
