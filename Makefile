@@ -38,7 +38,10 @@ race:
 ## the bench-trajectory comparator (fails on a >10% ns/op or allocs/op
 ## regression between the two committed BENCH files), and the multi-tenant
 ## load smoke (sustained detect+query traffic at 1 and 4 shards; the >=2x
-## throughput gate runs only in the full non-short experiment).
+## throughput gate runs only in the full non-short experiment), and the vet
+## and tests of the perfbench module, which the root ./... never reaches
+## (they pin, among other things, the resolver capabilities the coalescer
+## needs to batch).
 ci:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -54,6 +57,7 @@ ci:
 	$(GO) run ./cmd/bench -smoke
 	$(GO) run ./cmd/bench -compare BENCH_9.json BENCH_10.json
 	$(GO) run ./cmd/experiments -run load -short
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 ## verify: the gate for engine/concurrency/persistence changes — the ci
 ## hygiene pass (gofmt, vet, race suite) plus the full test suite.

@@ -633,21 +633,7 @@ func BenchmarkAblation_AdapterOverhead(b *testing.B) {
 	def := core.DetectionWorkflow()
 	w := getWorld(b)
 	reg := workflow.NewRegistry()
-	sysDir, err := os.MkdirTemp("", "bench-adapter-*")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer os.RemoveAll(sysDir)
-	sys, err := core.Open(sysDir, core.Options{Sync: storage.SyncNever})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sys.Close()
-	sys.RegisterDetectionServices(w.taxa.Checklist)
-	for _, name := range sys.Registry.Names() {
-		fn, _ := sys.Registry.Lookup(name)
-		reg.Register(name, fn)
-	}
+	core.RegisterDetectionServicesInto(reg, w.taxa.Checklist)
 	items := make([]workflow.Data, 200)
 	for i, n := range w.taxa.HistoricalNames[:200] {
 		items[i] = workflow.Scalar(n)

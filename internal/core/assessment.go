@@ -204,8 +204,7 @@ func (s *System) runDetection(ctx context.Context, resolver taxonomy.Resolver, o
 	}
 
 	// Step 3: execute with provenance capture and adapter probing.
-	s.RegisterDetectionServices(resolver)
-	reg, err := s.Probe.Instrument(def, s.Registry)
+	reg, err := s.Probe.Instrument(def, detectionRegistry(resolver, names))
 	if err != nil {
 		return nil, err
 	}

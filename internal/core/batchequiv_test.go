@@ -56,7 +56,10 @@ func runShapeWith(t *testing.T, sys *System, resolver taxonomy.Resolver, paralle
 // TestRunDetectionBatchEquivalence: the same detection over the same
 // authority must yield byte-identical canonical provenance and identical
 // fresh/degraded accounting whether names travel one-per-round-trip or
-// batched+coalesced — at engine parallelism 1 and 4.
+// batched+coalesced — at engine parallelism 1 and 4. The batched run must
+// also fill its batches from the run's own name list: one upstream request
+// per 64 names (one more if the engine's first elements race), not one per
+// pair of concurrently resolving workers.
 func TestRunDetectionBatchEquivalence(t *testing.T) {
 	sys, taxa, _ := testSystem(t, 600, 120)
 	svc := taxonomy.NewService(taxa.Checklist, taxonomy.WithLatency(time.Millisecond))
@@ -75,7 +78,13 @@ func TestRunDetectionBatchEquivalence(t *testing.T) {
 
 	for _, parallel := range []int{1, 4} {
 		want, wantOutcome := runShapeWith(t, sys, refStack(), parallel)
+		before, _ := svc.Stats()
 		got, gotOutcome := runShapeWith(t, sys, batchStack(), parallel)
+		after, _ := svc.Stats()
+		if limit := int64((gotOutcome.DistinctNames+63)/64 + 1); after-before > limit {
+			t.Errorf("parallel=%d: %d upstream requests for %d names, want at most %d",
+				parallel, after-before, gotOutcome.DistinctNames, limit)
+		}
 		if got.summary != want.summary {
 			t.Errorf("parallel=%d summary diverges:\n batch  %s\n single %s", parallel, got.summary, want.summary)
 		}

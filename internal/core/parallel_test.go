@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
@@ -111,21 +112,30 @@ func TestRunDetectionParallelEquivalence(t *testing.T) {
 // leaves provenance behind.
 func TestRunDetectionParallelCancellation(t *testing.T) {
 	sys, taxa, _ := testSystem(t, 400, 100)
-	svc := taxonomy.NewService(taxa.Checklist, taxonomy.WithLatency(5*time.Millisecond))
-	srv := httptest.NewServer(svc)
+	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
+	defer cancel()
+	// The authority holds every request until the run's deadline, so the run
+	// is provably mid-flight when it is cancelled, however few round trips
+	// its names need.
+	svc := taxonomy.NewService(taxa.Checklist)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-ctx.Done():
+		case <-r.Context().Done():
+		}
+		svc.ServeHTTP(w, r)
+	}))
 	defer srv.Close()
 	client := taxonomy.NewClient(srv.URL)
 
 	before := len(sys.Provenance.AllRuns())
-	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
-	defer cancel()
 	start := time.Now()
 	_, err := sys.RunDetection(ctx, client, RunOptions{Parallel: 4, SkipLedger: true})
 	if err == nil {
 		t.Fatal("cancelled detection succeeded")
 	}
-	// 100 names × 5ms at parallelism 4 is ≥125ms of work; a prompt abort
-	// finishes far sooner.
+	// A prompt abort returns soon after the deadline instead of draining
+	// the authority round trips still to come.
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("cancellation took %s", elapsed)
 	}

@@ -173,8 +173,7 @@ func (s *System) resumeDetection(ctx context.Context, resolver taxonomy.Resolver
 		return nil, err
 	}
 
-	s.RegisterDetectionServices(resolver)
-	reg, err := s.Probe.Instrument(def, s.Registry)
+	reg, err := s.Probe.Instrument(def, detectionRegistry(resolver, names))
 	if err != nil {
 		return nil, err
 	}

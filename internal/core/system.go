@@ -251,22 +251,35 @@ type detectionSummary struct {
 	References    map[string]string `json:"references,omitempty"`
 }
 
-// RegisterDetectionServices binds the case-study services to the given
-// taxonomic authority. Call once before running the detection workflow.
-func (s *System) RegisterDetectionServices(resolver taxonomy.Resolver) {
-	RegisterDetectionServicesInto(s.Registry, resolver)
+// detectionRegistry builds the service registry one detection run owns: the
+// case-study services bound to resolver, batching authority round trips
+// ahead along names, the run's own input in the order its elements execute.
+// Each run gets its own, so concurrent runs never see each other's resolver.
+func detectionRegistry(resolver taxonomy.Resolver, names []string) *workflow.Registry {
+	reg := workflow.NewRegistry()
+	registerDetectionServices(reg, resolver, names)
+	return reg
 }
 
 // RegisterDetectionServicesInto binds the case-study services to any service
-// registry — the system's own, or the private registry of an out-of-process
-// worker (cmd/worker), which executes the same services against its own
-// resolver.
+// registry — for example the private registry of an out-of-process worker
+// (cmd/worker), which executes the same services against its own resolver
+// and learns the names one call at a time.
 func RegisterDetectionServicesInto(registry *workflow.Registry, resolver taxonomy.Resolver) {
-	// Coalesce concurrent per-element resolutions into shared authority
-	// round trips: Parallel workers each resolve one name, and without this
-	// every worker pays its own round trip. A resolver with no batch
-	// capability comes back unchanged.
+	registerDetectionServices(registry, resolver, nil)
+}
+
+func registerDetectionServices(registry *workflow.Registry, resolver taxonomy.Resolver, order []string) {
+	// Coalesce per-element resolutions into shared authority round trips:
+	// each element resolves one name, and without this every element pays
+	// its own round trip. With the run's name list the leading call of each
+	// batch fills it with the names still to come; without one, only calls
+	// concurrently in flight share. A resolver with no batch capability comes
+	// back unchanged.
 	resolver = taxonomy.Coalesce(resolver, taxonomy.CoalescerOptions{})
+	if co, ok := resolver.(*taxonomy.CoalescingResolver); ok {
+		co.Expect(order)
+	}
 	registry.Register("col.resolve", func(ctx context.Context, call workflow.Call) (map[string]workflow.Data, error) {
 		name := call.Input("name").String()
 		res, err := resolver.Resolve(ctx, name)

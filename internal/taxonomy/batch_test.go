@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -299,6 +300,183 @@ func TestCoalescerHonorsCallerCancellation(t *testing.T) {
 		t.Fatal("cancelled resolve never returned")
 	}
 	close(block)
+}
+
+// batchOrder returns the first n checklist names, the order a run resolves
+// them in.
+func batchOrder(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = batchSpecies(i)
+	}
+	return names
+}
+
+func expectCoalescer(t *testing.T, inner Resolver, maxBatch int, order []string) *CoalescingResolver {
+	t.Helper()
+	co, ok := Coalesce(inner, CoalescerOptions{MaxBatch: maxBatch}).(*CoalescingResolver)
+	if !ok {
+		t.Fatalf("Coalesce over %T did not wrap it", inner)
+	}
+	co.Expect(order)
+	return co
+}
+
+func TestCoalescerExpectedOrderFillsBatches(t *testing.T) {
+	svc := NewService(batchChecklist(t), WithLatency(time.Millisecond))
+	srv := httptest.NewServer(svc)
+	defer srv.Close()
+	const n, maxBatch = 40, 16
+	order := batchOrder(n)
+	co := expectCoalescer(t, NewClient(srv.URL), maxBatch, order)
+
+	// Four callers each walk the list in order, the way overlapping element
+	// streams do: whoever first asks a name not yet fetched leads the next
+	// batch, and everyone else finds the answer in flight or landed.
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for _, name := range order {
+				res, err := co.Resolve(context.Background(), name)
+				if err != nil || res.Query != name || res.Status != StatusAccepted {
+					t.Errorf("caller %d: %q resolved to %+v (%v)", w, name, res, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	want := int64((n + maxBatch - 1) / maxBatch)
+	if requests, _ := svc.Stats(); requests != want {
+		t.Fatalf("%d names cost %d upstream requests, want %d", n, requests, want)
+	}
+	if batches, names, biggest := co.Stats(); batches != want || names != n || biggest != maxBatch {
+		t.Fatalf("coalescer stats: %d batches, %d names, largest %d", batches, names, biggest)
+	}
+}
+
+func TestCoalescerNameOutsideOrderTakesWindowPath(t *testing.T) {
+	inner := &countBatchResolver{cl: batchChecklist(t)}
+	co := expectCoalescer(t, inner, 0, batchOrder(10))
+
+	outside := batchSpecies(20)
+	if res, err := co.Resolve(context.Background(), outside); err != nil || res.Status != StatusAccepted {
+		t.Fatalf("%q resolved to %+v (%v)", outside, res, err)
+	}
+	if _, batches, names := inner.counts(); batches != 1 || names != 1 {
+		t.Fatalf("unlisted name sent %d batches carrying %d names, want its own batch of 1", batches, names)
+	}
+	if _, err := co.Resolve(context.Background(), batchSpecies(0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, batches, names := inner.counts(); batches != 2 || names != 11 {
+		t.Fatalf("listed name: %d batches carrying %d names, want a second batch of the 10 listed", batches, names)
+	}
+}
+
+func TestCoalescerRefetchesUnavailableLookAhead(t *testing.T) {
+	inner := &countBatchResolver{cl: batchChecklist(t)}
+	order := batchOrder(10)
+	co := expectCoalescer(t, inner, 0, order)
+	ctx := context.Background()
+
+	inner.setDown(true)
+	if _, err := co.Resolve(ctx, order[0]); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("resolve during outage returned %v, want ErrUnavailable", err)
+	}
+	inner.setDown(false)
+	// order[1] was fetched ahead by the failed batch; its outage must not be
+	// served now that the authority is back.
+	res, err := co.Resolve(ctx, order[1])
+	if err != nil || res.Status != StatusAccepted {
+		t.Fatalf("look-ahead slot after the outage: %+v (%v), want a fresh accepted answer", res, err)
+	}
+	if _, batches, names := inner.counts(); batches != 2 || names != 19 {
+		t.Fatalf("%d batches carrying %d names, want the failed batch of 10 and a fresh one of 9", batches, names)
+	}
+	if _, err := co.Resolve(ctx, order[9]); err != nil {
+		t.Fatal(err)
+	}
+	if _, batches, _ := inner.counts(); batches != 2 {
+		t.Fatalf("a name the fresh batch answered went upstream again (%d batches)", batches)
+	}
+}
+
+// gatedBatchResolver holds every batch until gate is closed.
+type gatedBatchResolver struct {
+	*countBatchResolver
+	gate    chan struct{}
+	arrived atomic.Int64
+}
+
+func (g *gatedBatchResolver) BatchResolve(ctx context.Context, names []string) ([]Resolution, error) {
+	g.arrived.Add(1)
+	<-g.gate
+	return g.countBatchResolver.BatchResolve(ctx, names)
+}
+
+func TestCoalescerCancelledWaiterLeavesBatchForOthers(t *testing.T) {
+	inner := &gatedBatchResolver{countBatchResolver: &countBatchResolver{cl: batchChecklist(t)}, gate: make(chan struct{})}
+	order := batchOrder(4)
+	co := expectCoalescer(t, inner, 0, order)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	led := make(chan error, 1)
+	go func() {
+		_, err := co.Resolve(ctx, order[0])
+		led <- err
+	}()
+	for inner.arrived.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	type answer struct {
+		res Resolution
+		err error
+	}
+	joined := make(chan answer, 1)
+	go func() {
+		res, err := co.Resolve(context.Background(), order[1])
+		joined <- answer{res, err}
+	}()
+
+	cancel()
+	select {
+	case err := <-led:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled leader returned %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("cancelled leader did not return while its batch was held")
+	}
+	close(inner.gate)
+	select {
+	case a := <-joined:
+		if a.err != nil || a.res.Status != StatusAccepted {
+			t.Fatalf("waiter on the abandoned batch got %+v (%v)", a.res, a.err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("waiter never got the batch's answer")
+	}
+	if res, err := co.Resolve(context.Background(), order[0]); err != nil || res.Status != StatusAccepted {
+		t.Fatalf("cancelled caller's name after landing: %+v (%v)", res, err)
+	}
+	if n := inner.arrived.Load(); n != 1 {
+		t.Fatalf("%d upstream batches, want the one the cancelled caller led", n)
+	}
+}
+
+func TestCoalescerExpectStartsNothing(t *testing.T) {
+	inner := &countBatchResolver{cl: batchChecklist(t)}
+	co := expectCoalescer(t, inner, 0, batchOrder(10))
+	time.Sleep(10 * time.Millisecond)
+	if singles, batches, _ := inner.counts(); singles != 0 || batches != 0 {
+		t.Fatalf("Expect alone went upstream: %d singles, %d batches", singles, batches)
+	}
+	if batches, _, _ := co.Stats(); batches != 0 {
+		t.Fatalf("Expect alone dispatched %d batches", batches)
+	}
 }
 
 // BenchmarkResolveBatch compares resolving 16 cold names through the full
