@@ -32,7 +32,9 @@ race:
 ## exactly once), the /api/v1 contract smoke (including the /api/v1/cluster
 ## resources and the per-tenant quota contract), the tracing-overhead
 ## guard (traced detection within 5% of untraced), the zero-allocation
-## guards over the provenance/telemetry/storage hot paths, a 1-iteration
+## guards over the provenance/telemetry/storage hot paths and the
+## row-count-independent allocation guard on the detection record scan
+## (fnjv ScanSpecies), a 1-iteration
 ## bench-harness smoke proving every tracked benchmark still runs (numbers
 ## land in the gitignored BENCH_smoke.json, not the committed trajectory),
 ## the bench-trajectory comparator (fails on a >10% ns/op or allocs/op
@@ -53,7 +55,7 @@ ci:
 	$(GO) run ./cmd/experiments -run chaos -short
 	$(GO) test ./internal/web/ -run 'TestAPI|TestCluster|TestWorkersAlias|TestAsyncDetect|TestDetectStaysSync'
 	$(GO) test -run TestTracingOverhead .
-	$(GO) test -run 'Allocs' ./internal/storage/ ./internal/telemetry/ ./internal/provenance/
+	$(GO) test -run 'Allocs' ./internal/storage/ ./internal/telemetry/ ./internal/provenance/ ./internal/fnjv/
 	$(GO) run ./cmd/bench -smoke
 	$(GO) run ./cmd/bench -compare BENCH_9.json BENCH_10.json
 	$(GO) run ./cmd/experiments -run load -short

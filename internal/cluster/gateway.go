@@ -148,13 +148,21 @@ func (g *Server) Handler() http.Handler {
 // ServeHTTP lets the Server be mounted directly.
 func (g *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.Handler().ServeHTTP(w, r) }
 
+// maxBodyBytes caps a gateway request body. The largest legitimate body is
+// a completion carrying a task's outputs, far below this.
+const maxBodyBytes = 8 << 20
+
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
+		code := http.StatusBadRequest
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("bad request: %v", err), code)
 		return false
 	}
 	return true

@@ -133,3 +133,25 @@ func TestGatewayReportAfterRunFinished(t *testing.T) {
 		t.Fatalf("late report status = %s, want 200 no-op", resp.Status)
 	}
 }
+
+// TestGatewayBodyCap pins the bounded process edge: a request body past the
+// gateway's cap is refused with 413, and a normal one is still served.
+func TestGatewayBodyCap(t *testing.T) {
+	srv := httptest.NewServer(cluster.NewServer(workflow.NewWorkerRegistry()))
+	defer srv.Close()
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/cluster/v1/register", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post(`{"worker":"` + strings.Repeat("a", 9<<20) + `"}`); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body answered %d, want 413", code)
+	}
+	if code := post(`{"worker":"alpha"}`); code != http.StatusOK {
+		t.Fatalf("normal body answered %d, want 200", code)
+	}
+}

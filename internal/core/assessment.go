@@ -4,12 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/curation"
-	"repro/internal/fnjv"
 	"repro/internal/provenance"
 	"repro/internal/quality"
 	"repro/internal/shard"
@@ -368,18 +366,12 @@ func (s *System) finishDetection(result *workflow.RunResult, version int, start 
 	}
 
 	// Persist per-record updates referencing (not modifying) the originals,
-	// scoped to the run's tenant.
-	tenantPrefix := ""
-	if opts.Tenant != "" {
-		tenantPrefix = opts.Tenant + shard.Sep
-	}
+	// scoped to the run's tenant. A tenant run scans only the tenant's shard
+	// (same fault-isolation contract as TenantDistinctNames).
 	var updates []*curation.NameUpdate
-	visit := func(rec *fnjv.Record) bool {
-		if tenantPrefix != "" && !strings.HasPrefix(rec.ID, tenantPrefix) {
-			return true
-		}
+	err := s.Records.ScanSpecies(tenantPrefix(opts.Tenant), func(id, species string) bool {
 		outcome.RecordsProcessed++
-		updated, bad := sum.Renames[rec.Species]
+		updated, bad := sum.Renames[species]
 		if !bad {
 			return true
 		}
@@ -390,26 +382,16 @@ func (s *System) finishDetection(result *workflow.RunResult, version int, start 
 			name = ""
 		}
 		updates = append(updates, &curation.NameUpdate{
-			RecordID:     rec.ID,
-			OriginalName: rec.Species,
+			RecordID:     id,
+			OriginalName: species,
 			UpdatedName:  name,
 			Status:       status,
-			Reference:    sum.References[rec.Species],
+			Reference:    sum.References[species],
 			DetectedAt:   start,
 			Review:       curation.ReviewPending,
 		})
 		return true
-	}
-	// Tenant runs scan only the tenant's shard (same fault-isolation
-	// contract as TenantDistinctNames).
-	var err error
-	if ts, ok := s.Records.(interface {
-		ScanTenant(string, func(*fnjv.Record) bool) error
-	}); ok && opts.Tenant != "" {
-		err = ts.ScanTenant(opts.Tenant, visit)
-	} else {
-		err = s.Records.Scan(visit)
-	}
+	})
 	if err != nil {
 		return nil, err
 	}

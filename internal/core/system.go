@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/adapter"
@@ -386,44 +385,20 @@ func AnnotatedDetectionWorkflow(reputation, availability string, author string, 
 
 // DistinctNames returns the sorted distinct species names of the collection
 // as workflow input data.
-func (s *System) DistinctNames() ([]string, error) {
-	distinct, err := s.Records.DistinctSpecies()
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(distinct))
-	for n := range distinct {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names, nil
-}
+func (s *System) DistinctNames() ([]string, error) { return s.TenantDistinctNames("") }
 
 // TenantDistinctNames scopes DistinctNames to one tenant's records — the
 // records whose IDs carry the tenant qualifier. The default tenant ""
-// keeps the legacy whole-collection behaviour.
+// keeps the legacy whole-collection behaviour. Records without a species
+// contribute no name.
 func (s *System) TenantDistinctNames(tenant string) ([]string, error) {
-	if tenant == "" {
-		return s.DistinctNames()
-	}
-	prefix := tenant + shard.Sep
 	set := map[string]struct{}{}
-	collect := func(r *fnjv.Record) bool {
-		if strings.HasPrefix(r.ID, prefix) {
-			set[r.Species] = struct{}{}
+	err := s.Records.ScanSpecies(tenantPrefix(tenant), func(_, species string) bool {
+		if species != "" {
+			set[species] = struct{}{}
 		}
 		return true
-	}
-	// A sharded store scans only the tenant's own shard (tenant affinity):
-	// the tenant keeps serving while unrelated shards are down.
-	var err error
-	if ts, ok := s.Records.(interface {
-		ScanTenant(string, func(*fnjv.Record) bool) error
-	}); ok {
-		err = ts.ScanTenant(tenant, collect)
-	} else {
-		err = s.Records.Scan(collect)
-	}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -433,4 +408,13 @@ func (s *System) TenantDistinctNames(tenant string) ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
+}
+
+// tenantPrefix is the record-ID prefix of a tenant's records; the default
+// tenant "" matches the whole collection.
+func tenantPrefix(tenant string) string {
+	if tenant == "" {
+		return ""
+	}
+	return tenant + shard.Sep
 }

@@ -12,6 +12,10 @@ type Records interface {
 	Len() int
 	// Scan visits every record in ascending ID order until fn returns false.
 	Scan(fn func(*Record) bool) error
+	// ScanSpecies visits the ID and raw species of every record whose ID
+	// starts with prefix, in ascending ID order, until fn returns false.
+	// It never builds a *Record: detection runs read only these two fields.
+	ScanSpecies(prefix string, fn func(id, species string) bool) error
 	BySpecies(name string) ([]*Record, error)
 	ByState(state string) ([]*Record, error)
 	DistinctSpecies() (map[string]int, error)

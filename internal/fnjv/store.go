@@ -3,6 +3,7 @@ package fnjv
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/storage"
 )
@@ -95,6 +96,23 @@ func (s *Store) Scan(fn func(*Record) bool) error {
 	return convErr
 }
 
+// speciesCol is the species column's position in a collection row.
+var speciesCol = Schema.Index("species")
+
+// ScanSpecies implements Records as a primary-key range scan: it starts at
+// the first ID >= prefix and stops at the first ID without the prefix,
+// reading the two columns in place.
+func (s *Store) ScanSpecies(prefix string, fn func(id, species string) bool) error {
+	s.db.Table(Schema.Table).ScanFrom(storage.S(prefix), func(row storage.Row) bool {
+		id := row[0].Str()
+		if !strings.HasPrefix(id, prefix) {
+			return false
+		}
+		return fn(id, row[speciesCol].Str())
+	})
+	return nil
+}
+
 // BySpecies returns all records whose raw species string equals name.
 func (s *Store) BySpecies(name string) ([]*Record, error) {
 	rows, err := s.db.Table(Schema.Table).Lookup("species", storage.S(name))
@@ -133,9 +151,9 @@ func (s *Store) ByState(state string) ([]*Record, error) {
 // counts — the "1929 distinct species names analyzed" population of Fig. 2.
 func (s *Store) DistinctSpecies() (map[string]int, error) {
 	out := map[string]int{}
-	err := s.Scan(func(r *Record) bool {
-		if r.Species != "" {
-			out[r.Species]++
+	err := s.ScanSpecies("", func(_, species string) bool {
+		if species != "" {
+			out[species]++
 		}
 		return true
 	})

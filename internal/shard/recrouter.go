@@ -2,7 +2,6 @@ package shard
 
 import (
 	"sort"
-	"strings"
 
 	"repro/internal/fnjv"
 )
@@ -130,26 +129,49 @@ func (r *RecordRouter) Scan(fn func(*fnjv.Record) bool) error {
 	return nil
 }
 
-// ScanTenant visits one tenant's records in ascending-ID order. Tenant
-// affinity pins every tenant-qualified ID to a single shard, so the scan
-// touches only that shard — a tenant keeps serving while unrelated shards
-// are down, and pays no scatter-gather for its own working set.
-func (r *RecordRouter) ScanTenant(tenant string, fn func(*fnjv.Record) bool) error {
-	prefix := tenant + Sep
-	sh := r.c.owner(prefix)
-	st, err := sh.recordStore()
-	if err != nil {
+// ScanSpecies implements fnjv.Records. Tenant affinity pins every
+// tenant-qualified ID to a single shard, so a tenant prefix scans only that
+// shard: the tenant keeps serving while unrelated shards are down, and pays
+// no scatter-gather for its own working set. Any other prefix (the empty
+// one included) gathers every shard's matching pairs and merges them back
+// into ascending ID order.
+func (r *RecordRouter) ScanSpecies(prefix string, fn func(id, species string) bool) error {
+	if tenant, _ := Split(prefix); tenant != "" {
+		sh := r.c.owner(prefix)
+		st, err := sh.recordStore()
+		if err == nil {
+			err = st.ScanSpecies(prefix, fn)
+		}
 		sh.note(err)
 		return err
 	}
-	err = st.Scan(func(rec *fnjv.Record) bool {
-		if !strings.HasPrefix(rec.ID, prefix) {
-			return true
+	type pair struct{ id, species string }
+	lists, err := gather(r.c, "records.ScanSpecies", func(sh *Shard) ([]pair, error) {
+		st, serr := sh.recordStore()
+		if serr != nil {
+			return nil, serr
 		}
-		return fn(rec)
+		var out []pair
+		serr = st.ScanSpecies(prefix, func(id, species string) bool {
+			out = append(out, pair{id, species})
+			return true
+		})
+		return out, serr
 	})
-	sh.note(err)
-	return err
+	if err != nil {
+		return err
+	}
+	var all []pair
+	for _, l := range lists {
+		all = append(all, l...)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })
+	for _, p := range all {
+		if !fn(p.id, p.species) {
+			break
+		}
+	}
+	return nil
 }
 
 // BySpecies implements fnjv.Records.

@@ -168,6 +168,7 @@ func fromWire(w wireResolution) Resolution {
 // ServeHTTP routes the authority API:
 //
 //	GET /resolve?name=Genus+epithet   -> 200 wireResolution | 404 | 503
+//	POST /resolve_batch {"names":[…]} -> 200 batchResponse | 400 | 413 | 503
 //	GET /healthz                      -> 200 "ok"
 //	GET /stats                        -> 200 {"requests":n,"refused":m}
 func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -239,6 +240,10 @@ type batchResponse struct {
 // maxBatch bounds one batch request.
 const maxBatch = 5000
 
+// maxBatchBody caps a batch request body: maxBatch names of up to ~400
+// bytes each, far beyond any binomial.
+const maxBatchBody = 2 << 20
+
 // handleResolveBatch resolves many names in one round trip (POST JSON
 // {"names": [...]}) — what makes frequent re-verification of 1 929 names
 // cheap over a real network. Availability is drawn once per batch: a batch
@@ -264,8 +269,12 @@ func (s *Service) handleResolveBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody)).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "bad request body: "+err.Error(), code)
 		return
 	}
 	if len(req.Names) == 0 || len(req.Names) > maxBatch {

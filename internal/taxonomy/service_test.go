@@ -250,3 +250,25 @@ func TestWireRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestServiceBatchBodyCap pins the bounded process edge: a batch body past
+// maxBatchBody is refused with 413, and a normal batch still resolves.
+func TestServiceBatchBodyCap(t *testing.T) {
+	srv := httptest.NewServer(NewService(demoChecklist(t)))
+	defer srv.Close()
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/resolve_batch", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post(`{"names":["` + strings.Repeat("a", maxBatchBody) + `"]}`); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized batch answered %d, want 413", code)
+	}
+	if code := post(`{"names":["Scinax fuscomarginatus"]}`); code != http.StatusOK {
+		t.Fatalf("normal batch answered %d, want 200", code)
+	}
+}

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/archive"
 	"repro/internal/core"
 	"repro/internal/fnjv"
+	"repro/internal/provenance"
 	"repro/internal/telemetry"
 )
 
@@ -123,6 +125,48 @@ func TestAPIRunDetailAndErrors(t *testing.T) {
 	wantEnvelope(t, resp, http.StatusMethodNotAllowed, "method_not_allowed")
 	if allow := resp.Header.Get("Allow"); !strings.Contains(allow, "GET") {
 		t.Fatalf("Allow header %q", allow)
+	}
+}
+
+// snapshotCounter counts the COW snapshots the web layer takes of the
+// provenance repository it wraps.
+type snapshotCounter struct {
+	provenance.Repo
+	n atomic.Int64
+}
+
+func (c *snapshotCounter) Snapshot() provenance.Repo {
+	c.n.Add(1)
+	return c.Repo.Snapshot()
+}
+
+// TestRunPollTakesNoSnapshot pins the poll path: GET /api/v1/runs/{id}
+// reads the one run row from the live repository. A snapshot would take the
+// exclusive DB lock and make the next provenance flush copy B-tree nodes.
+func TestRunPollTakesNoSnapshot(t *testing.T) {
+	srv, wsys, _ := testServer(t)
+	seedProvRuns(t, wsys.Core, "run-a")
+	counter := &snapshotCounter{Repo: wsys.Core.Provenance}
+	wsys.Core.Provenance = counter
+
+	var run struct {
+		RunID  string `json:"run_id"`
+		Status string `json:"status"`
+	}
+	decodeJSON(t, getResp(t, srv.URL+"/api/v1/runs/run-a", nil), 200, &run)
+	if run.RunID != "run-a" || run.Status != "completed" {
+		t.Fatalf("run detail: %+v", run)
+	}
+	wantEnvelope(t, getResp(t, srv.URL+"/api/v1/runs/run-nope", nil), http.StatusNotFound, "not_found")
+	if n := counter.n.Load(); n != 0 {
+		t.Fatalf("run polls took %d snapshots, want 0", n)
+	}
+	// The counter is on the read path: a graph read still takes its one
+	// snapshot, so info and graph agree.
+	resp := getResp(t, srv.URL+"/api/v1/runs/run-a/graph", nil)
+	resp.Body.Close()
+	if n := counter.n.Load(); n != 1 {
+		t.Fatalf("graph read took %d snapshots, want 1", n)
 	}
 }
 

@@ -148,20 +148,24 @@ func (v *Service) Admit(ctx context.Context) (workflow.Admission, error) {
 	return adm, nil
 }
 
-// API reads run against immutable point-in-time snapshots
+// Multi-row API reads run against immutable point-in-time snapshots
 // (provenance.Repository.View / telemetry.SpanStore.View): dashboard scans
 // never hold the storage read lock against a live run's provenance flushes,
 // and multi-part responses (info + graph) are internally consistent because
-// they come from one snapshot.
+// they come from one snapshot. A single-row read (a run poll) needs neither
+// property and reads the live repository under the shared read lock.
 
 // RunsPage pages provenance runs through the repository cursor.
 func (v *Service) RunsPage(after string, limit int) ([]provenance.RunInfo, string, error) {
 	return v.sys.Core.Provenance.Snapshot().RunsPage(after, limit)
 }
 
-// Run loads one run's info; errNotFound when the ID is unknown.
+// Run loads one run's info; errNotFound when the ID is unknown. It takes no
+// snapshot: a snapshot takes the exclusive DB lock and makes the next
+// provenance flush copy every B-tree node it touches, a poor trade for one
+// row.
 func (v *Service) Run(runID string) (provenance.RunInfo, error) {
-	return runInfoFrom(v.sys.Core.Provenance.Snapshot(), runID)
+	return runInfoFrom(v.sys.Core.Provenance, runID)
 }
 
 func runInfoFrom(repo provenance.Repo, runID string) (provenance.RunInfo, error) {
